@@ -65,6 +65,9 @@ enum CaNode {
 pub struct CaTree {
     root: AtomicPtr<CaNode>,
     collector: Collector,
+    /// Test-only: lock acquisitions that found their base node held.
+    #[cfg(test)]
+    contended: std::sync::atomic::AtomicUsize,
 }
 
 // SAFETY: shared state is behind atomics and locks; node lifetime is managed
@@ -97,6 +100,8 @@ impl CaTree {
         Self {
             root: AtomicPtr::new(new_base(Avl::new(), 0)),
             collector,
+            #[cfg(test)]
+            contended: std::sync::atomic::AtomicUsize::new(0),
         }
     }
 
@@ -136,7 +141,11 @@ impl CaTree {
             // attempts to acquire it".
             let (mut data, contended) = match base.data.try_lock() {
                 Some(g) => (g, false),
-                None => (base.data.lock(), true),
+                None => {
+                    #[cfg(test)]
+                    self.contended.fetch_add(1, Ordering::SeqCst);
+                    (base.data.lock(), true)
+                }
             };
             if !base.valid.load(Ordering::Acquire) {
                 drop(data);
@@ -332,27 +341,54 @@ mod tests {
         assert_eq!(keys, expected);
     }
 
+    impl CaTree {
+        /// Locks the root base node, as a contending operation would.  Call
+        /// only while no operation runs.
+        fn hold_root_base(&self) -> parking_lot::MutexGuard<'_, BaseData> {
+            // SAFETY: no operation runs, so nothing can unlink the root
+            // now, and only its lock holder can split (unlink) a base node,
+            // so it stays allocated while the returned guard lives.
+            match unsafe { &*self.root.load(Ordering::Acquire) } {
+                CaNode::Base(base) => base.data.lock(),
+                CaNode::Route { .. } => panic!("the root has already split"),
+            }
+        }
+    }
+
     #[test]
     fn contention_causes_splits() {
-        // Contention adaptation counts `try_lock` failures, which require
-        // true parallelism: on a single hardware thread the lock is almost
-        // always free when sampled (a preemption adds one contended event
-        // per scheduling quantum while thousands of uncontended operations
-        // each subtract one), so a CA tree correctly never splits there.
-        // Detected parallelism only — AB_FORCE_PARALLEL deliberately does
-        // not apply: without true parallelism the tree correctly never
-        // splits, so forcing the test on would make it fail for the right
-        // behavior.
-        if abtree::par::detected_parallelism() < 2 {
-            eprintln!("skipping contention_causes_splits: needs >1 hardware thread");
-            return;
-        }
+        // Contention adaptation counts `try_lock` failures.  Left to the
+        // scheduler, whether threads ever find the lock held depends on how
+        // many hardware threads run them, so the test makes contention
+        // certain: it holds the only base node's lock until each of 12
+        // workers has failed its `try_lock`.  Each worker does just that one
+        // operation in this phase, so the 12 contended acquisitions (+250
+        // each) run back to back and lift the statistic from its floor
+        // (-1000 after the uncontended prefill) past the split threshold
+        // (+1000); 9 would do.
         let t = Arc::new(CaTree::new());
         let mut h = t.handle();
         for k in 0..20_000u64 {
             h.insert(k, k);
         }
         assert_eq!(t.base_node_count(), 1, "no contention yet, single base");
+        let held = t.hold_root_base();
+        let blocked: Vec<_> = (0..12u64)
+            .map(|tid| {
+                let t = Arc::clone(&t);
+                std::thread::spawn(move || {
+                    t.handle().insert(20_000 + tid, tid);
+                })
+            })
+            .collect();
+        while t.contended.load(Ordering::SeqCst) < 12 {
+            std::thread::yield_now();
+        }
+        drop(held);
+        for worker in blocked {
+            worker.join().unwrap();
+        }
+        // Then the free-running contended workload on top.
         let mut handles = Vec::new();
         for tid in 0..8u64 {
             let t = Arc::clone(&t);

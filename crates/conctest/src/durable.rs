@@ -4,8 +4,8 @@
 //! # The welded history
 //!
 //! A durable run is not one execution but several, separated by crashes:
-//! each shard may die and be recovered mid-run.  Because the supervisor
-//! heals shards *in place* (same service, same [`Clock`]), the pre- and
+//! each shard may die and be recovered mid-run.  Because a crashed shard's
+//! owner heals it *in place* (same service, same [`Clock`]), the pre- and
 //! post-crash operations of every thread land in one event log with one
 //! shared tick order — the histories are **welded** at recording time, and
 //! the crash instants appear implicitly as the intervals of the operations

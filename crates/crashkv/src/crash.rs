@@ -1,5 +1,5 @@
 //! The crash model: what a simulated shard crash does, and what it leaves
-//! behind for the supervisor and the durable-linearizability checker.
+//! behind for the durable-linearizability checker.
 //!
 //! A crash always happens at a **group-fence boundary** — the instant the
 //! shard owner would otherwise issue its group `sfence` — because that is
@@ -36,8 +36,8 @@ pub struct CrashSpec {
     pub dirty_link: bool,
 }
 
-/// What one crash + recovery cycle did, recorded by the supervisor and
-/// consumed by `bench_durable`'s recovery-time and lost-write columns.
+/// What one crash + recovery cycle did, recorded by the recovering owner
+/// and consumed by `bench_durable`'s recovery-time and lost-write columns.
 #[derive(Debug, Clone, Copy)]
 pub struct CrashReport {
     /// The crashed shard.
@@ -54,7 +54,7 @@ pub struct CrashReport {
     /// Key of the torn partial insert, if one was injected.
     pub torn_insert: Option<u64>,
     /// Whether a dirty link-and-persist mark was present at recovery (it
-    /// must be gone afterwards; the supervisor asserts that).
+    /// must be gone afterwards; the recovering owner asserts that).
     pub dirty_link: bool,
     /// What [`pabtree::recover`] found and repaired, including the
     /// wall-clock recovery time.

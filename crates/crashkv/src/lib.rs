@@ -13,13 +13,13 @@
 //!   acknowledgements are withheld until the covering fence
 //!   (`acks_per_fence` is the group-commit knob, 1–64 in the bench sweep).
 //!   An acked operation is therefore always durable.
-//! * **Crash injection** ([`CrashSpec`]) — a fault directive kills a shard
-//!   owner at a chosen group-fence boundary: a seeded prefix of the
+//! * **Crash injection** ([`CrashSpec`]) — a fault directive crashes a
+//!   shard at a chosen group-fence boundary: a seeded prefix of the
 //!   unfenced window survives, the suffix rolls back, and optional torn
 //!   partial-insert / dirty link-and-persist damage is planted for
 //!   [`pabtree::recover`] to repair.  Unacked clients get the retryable
-//!   [`Crashed`] error; a supervisor thread recovers the image and respawns
-//!   the owner, so the shard degrades and heals instead of poisoning.
+//!   [`Crashed`] error; the owner then recovers the image in place and
+//!   keeps serving, so the shard degrades and heals instead of poisoning.
 //! * **Forensics** ([`CrashReport`]) — every crash + recovery cycle records
 //!   the unfenced window split, the injected damage, and the
 //!   [`pabtree::RecoveryReport`] (including wall-clock recovery time),
@@ -204,7 +204,7 @@ mod tests {
             outcomes.iter().any(|r| r.is_err()),
             "the mid-load crash must abort at least one unacked write"
         );
-        // Wait for the supervisor to heal the shard, then verify the
+        // Wait for the owner to heal the shard, then verify the
         // durability contract through fresh reads.
         while service.crash_count(0) == 0 {
             std::thread::yield_now();
@@ -333,11 +333,7 @@ mod tests {
     fn sharding_matches_kvserve_placement() {
         let service = DurableKvService::new(4, 1);
         for key in [1u64, 99, 12_345, u64::MAX - 1] {
-            let shard = service.shard_of(key);
-            assert!(shard < 4);
-            // Fibonacci-hash placement, identical formula to kvserve.
-            let hashed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            assert_eq!(shard, ((hashed as u128 * 4u128) >> 64) as usize);
+            assert_eq!(service.shard_of(key), kvserve::shard_index(key, 4));
         }
     }
 }

@@ -1,5 +1,4 @@
-//! The durable sharded service: owner threads, the recovery supervisor,
-//! and the client-side router.
+//! The durable sharded service: owner threads and the client-side router.
 //!
 //! ```text
 //!            DurableRouter (one per client thread)
@@ -9,52 +8,35 @@
 //!   ┌─ shard 0 owner ─┐   ┌─ shard 1 owner ─┐   ...
 //!   │ WalElimABTree   │   │ WalElimABTree   │
 //!   │ group fence ack │   │ group fence ack │
-//!   └───────┬─────────┘   └───────┬─────────┘
-//!           │ crash (status Down) │
-//!           ▼                     ▼
-//!        supervisor: join → pabtree::recover → respawn (status Up)
+//!   │ crash (Down) →  │   │ crash (Down) →  │
+//!   │ recover → Up    │   │ recover → Up    │
+//!   └─────────────────┘   └─────────────────┘
 //! ```
 //!
-//! Every shard is owned by exactly one thread; clients talk to it over SPSC
-//! lanes, and acknowledgements are group-committed (see [`crate::shard`]).
-//! The **supervisor** is the only component that ever observes a dead owner:
-//! it joins the crashed thread, runs [`pabtree::recover`] over the shard's
-//! persistent image, records a [`CrashReport`], and spawns a fresh owner.
-//! Routers never block on a poisoned lock — a crashed shard just answers
-//! its unacked operations with [`Crashed`] and queues new work until the
-//! owner is respawned.
+//! Every shard is owned by exactly one thread; clients talk to it over the
+//! SPSC lanes of [`kvserve::inbox`], and acknowledgements are
+//! group-committed (see [`crate::shard`]).  A crashed owner recovers its
+//! shard **in place**: it answers its unacked operations with [`Crashed`],
+//! runs [`pabtree::recover`] over the shard's persistent image, records a
+//! [`CrashReport`] and keeps serving the lanes it holds.  Routers never
+//! block on a poisoned lock — new work simply queues until the shard is up
+//! again.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use kvserve::queue::{self, Consumer, Producer};
+use kvserve::inbox::RouterLane;
+use kvserve::shard_index;
 use obs::{Registry, Sample, StageTrace};
 use pabtree::WalElimABTree;
 
 use crate::crash::{CrashReport, CrashSpec, Crashed};
-use crate::shard::{
-    run_shard_owner, Lane, ShardCell, ShardJob, ShardReply, ShardState, ShardStatus,
-};
+use crate::shard::{run_shard_owner, ShardCell, ShardJob, ShardReply, ShardState, ShardStatus};
 
-/// Ring capacity of each job and reply lane.  The router also caps its
-/// in-flight operations per shard at this value, which guarantees the reply
-/// ring can always absorb a full ack-group release.
-const LANE_CAPACITY: usize = 64;
-
-/// How often the supervisor polls shard liveness.
-const SUPERVISOR_POLL: Duration = Duration::from_micros(200);
-
-struct Shared {
-    owners: Mutex<Vec<Option<JoinHandle<bool>>>>,
-    crash_log: Mutex<Vec<CrashReport>>,
-    shutdown: AtomicBool,
-    acks_per_fence: u32,
-}
-
-/// A durable sharded key/value service with supervised crash recovery.
+/// A durable sharded key/value service whose shards recover from injected
+/// crashes in place.
 ///
 /// Compared to `kvserve::KvService` the shards are persistent
 /// ([`WalElimABTree`]: per-operation flushes, group fences), the
@@ -62,71 +44,14 @@ struct Shared {
 /// fence rate, and a crashed shard heals instead of poisoning the service.
 pub struct DurableKvService {
     shards: Arc<Vec<Arc<ShardCell>>>,
-    shared: Arc<Shared>,
-    supervisor: Option<JoinHandle<()>>,
+    owners: Vec<JoinHandle<()>>,
+    crash_log: Arc<Mutex<Vec<CrashReport>>>,
     /// Pull-based metric registry: per-shard durability counters
     /// (`durable_*`) and the fence-stage latency histogram register at
     /// construction; render it (or graft it into a larger spine) for a
     /// crash-aware health scrape.
     registry: Arc<Registry>,
     trace: Arc<StageTrace>,
-}
-
-fn spawn_owner(cell: Arc<ShardCell>, shard: usize, acks_per_fence: u32) -> JoinHandle<bool> {
-    std::thread::Builder::new()
-        .name(format!("crashkv-shard-{shard}"))
-        .spawn(move || run_shard_owner(cell, acks_per_fence))
-        .expect("failed to spawn shard owner")
-}
-
-fn supervise(shards: Arc<Vec<Arc<ShardCell>>>, shared: Arc<Shared>) {
-    loop {
-        for (idx, cell) in shards.iter().enumerate() {
-            if cell.state.status() != ShardStatus::Down {
-                continue;
-            }
-            // The owner published Down as its last act; join reaps it.
-            let handle = shared.owners.lock().expect("owner table poisoned")[idx].take();
-            if let Some(handle) = handle {
-                let _ = handle.join();
-            }
-            let recovery = pabtree::recover(&cell.tree);
-            assert!(
-                !cell.tree.has_dirty_links(),
-                "recovery must clear every dirty link-and-persist mark"
-            );
-            if let Some(p) = cell
-                .state
-                .pending_crash
-                .lock()
-                .expect("crash record poisoned")
-                .take()
-            {
-                shared
-                    .crash_log
-                    .lock()
-                    .expect("crash log poisoned")
-                    .push(CrashReport {
-                        shard: idx,
-                        boundary_index: p.boundary_index,
-                        unfenced: p.unfenced,
-                        survived: p.survived,
-                        rolled_back: p.rolled_back,
-                        torn_insert: p.torn_insert,
-                        dirty_link: p.dirty_link,
-                        recovery,
-                    });
-            }
-            cell.state.crashes.fetch_add(1, Ordering::SeqCst);
-            cell.state.set_status(ShardStatus::Up);
-            let owner = spawn_owner(Arc::clone(cell), idx, shared.acks_per_fence);
-            shared.owners.lock().expect("owner table poisoned")[idx] = Some(owner);
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        std::thread::sleep(SUPERVISOR_POLL);
-    }
 }
 
 impl DurableKvService {
@@ -137,36 +62,30 @@ impl DurableKvService {
     pub fn new(shard_count: usize, acks_per_fence: u32) -> Self {
         assert!(shard_count > 0, "need at least one shard");
         let trace = Arc::new(StageTrace::new());
+        let crash_log = Arc::new(Mutex::new(Vec::new()));
         let shards: Arc<Vec<Arc<ShardCell>>> = Arc::new(
             (0..shard_count)
-                .map(|_| {
+                .map(|index| {
                     Arc::new(ShardCell {
+                        index,
                         tree: WalElimABTree::new(),
                         state: ShardState::new(),
                         trace: Arc::clone(&trace),
+                        crash_log: Arc::clone(&crash_log),
                     })
                 })
                 .collect(),
         );
         let owners = shards
             .iter()
-            .enumerate()
-            .map(|(idx, cell)| Some(spawn_owner(Arc::clone(cell), idx, acks_per_fence)))
+            .map(|cell| {
+                let cell = Arc::clone(cell);
+                std::thread::Builder::new()
+                    .name(format!("crashkv-shard-{}", cell.index))
+                    .spawn(move || run_shard_owner(cell, acks_per_fence))
+                    .expect("failed to spawn shard owner")
+            })
             .collect();
-        let shared = Arc::new(Shared {
-            owners: Mutex::new(owners),
-            crash_log: Mutex::new(Vec::new()),
-            shutdown: AtomicBool::new(false),
-            acks_per_fence,
-        });
-        let supervisor = {
-            let shards = Arc::clone(&shards);
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("crashkv-supervisor".into())
-                .spawn(move || supervise(shards, shared))
-                .expect("failed to spawn supervisor")
-        };
         let registry = Arc::new(Registry::new());
         {
             let cells = Arc::clone(&shards);
@@ -205,8 +124,8 @@ impl DurableKvService {
         }
         Self {
             shards,
-            shared,
-            supervisor: Some(supervisor),
+            owners,
+            crash_log,
             registry,
             trace,
         }
@@ -215,35 +134,17 @@ impl DurableKvService {
     /// Opens a client router (one SPSC lane pair per shard).  Any number of
     /// routers may be open concurrently; each belongs to one client thread.
     pub fn router(&self) -> DurableRouter {
-        let lanes = self
-            .shards
-            .iter()
-            .map(|cell| {
-                let (job_tx, job_rx) = queue::channel(LANE_CAPACITY);
-                let (reply_tx, reply_rx) = queue::channel(LANE_CAPACITY);
-                cell.state.register_lane(Lane {
-                    jobs: job_rx,
-                    replies: reply_tx,
-                    buffered: VecDeque::new(),
-                });
-                RouterLane {
-                    jobs: job_tx,
-                    replies: reply_rx,
-                    in_flight: 0,
-                }
-            })
-            .collect();
         DurableRouter {
             shards: Arc::clone(&self.shards),
-            lanes,
+            lanes: self.shards.iter().map(|cell| cell.state.inbox.open()).collect(),
             pending: VecDeque::new(),
             completed: VecDeque::new(),
         }
     }
 
     /// Arms a crash on `shard` (see [`CrashSpec`]).  The crash fires at the
-    /// chosen group-fence boundary; the supervisor then recovers and heals
-    /// the shard.  At most one directive is armed per shard at a time — a
+    /// chosen group-fence boundary; the owner then recovers and heals the
+    /// shard in place.  At most one directive is armed per shard at a time — a
     /// second call overwrites an unfired first.
     pub fn inject_crash(&self, shard: usize, spec: CrashSpec) {
         self.shards[shard].state.arm_crash(spec);
@@ -293,11 +194,7 @@ impl DurableKvService {
 
     /// Snapshot of every recorded [`CrashReport`], in recovery order.
     pub fn crash_reports(&self) -> Vec<CrashReport> {
-        self.shared
-            .crash_log
-            .lock()
-            .expect("crash log poisoned")
-            .clone()
+        self.crash_log.lock().expect("crash log poisoned").clone()
     }
 
     /// Total keys across all shards.  Quiescent use only (tests, benches).
@@ -315,31 +212,18 @@ impl DurableKvService {
         Ok(())
     }
 
-    /// Stops every owner and the supervisor.  Requires all routers to be
-    /// dropped (or at least quiescent): owners drain their lanes before
-    /// exiting, and nothing re-arms after shutdown.  Idempotent; also runs
-    /// on `Drop`.
+    /// Stops and joins every owner.  Requires all routers to be dropped
+    /// (or at least quiescent): owners drain their lanes before exiting,
+    /// and nothing re-arms after shutdown.  Idempotent; also runs on
+    /// `Drop`.
     pub fn shutdown(&mut self) {
-        let Some(supervisor) = self.supervisor.take() else {
-            return;
-        };
-        self.shared.shutdown.store(true, Ordering::SeqCst);
         for cell in self.shards.iter() {
-            cell.state.begin_shutdown();
+            cell.state.inbox.begin_shutdown();
         }
-        let _ = supervisor.join();
-        // The supervisor is gone, so reap the owners directly; a shard that
-        // crashed during the drain still gets its image recovered.
-        let mut owners = self.shared.owners.lock().expect("owner table poisoned");
-        for (idx, slot) in owners.iter_mut().enumerate() {
-            if let Some(handle) = slot.take() {
-                let _ = handle.join();
-            }
-            let cell = &self.shards[idx];
-            if cell.state.status() == ShardStatus::Down {
-                pabtree::recover(&cell.tree);
-                cell.state.set_status(ShardStatus::Up);
-            }
+        for owner in self.owners.drain(..) {
+            // A panicked owner already surfaced as a router panic; the join
+            // result adds nothing (and must not double-panic in drop).
+            let _ = owner.join();
         }
     }
 }
@@ -348,16 +232,6 @@ impl Drop for DurableKvService {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-fn shard_index(key: u64, shards: usize) -> usize {
-    assert_ne!(
-        key,
-        abtree::EMPTY_KEY,
-        "EMPTY_KEY is reserved by the tree layer"
-    );
-    let hashed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((hashed as u128 * shards as u128) >> 64) as usize
 }
 
 /// One operation for the pipelined router path.
@@ -382,12 +256,6 @@ pub enum DurableOp {
     },
 }
 
-struct RouterLane {
-    jobs: Producer<ShardJob>,
-    replies: Consumer<ShardReply>,
-    in_flight: usize,
-}
-
 /// A client handle: routes operations to their shard over SPSC lanes.
 ///
 /// Two usage styles, freely mixable:
@@ -402,7 +270,7 @@ struct RouterLane {
 ///   harvests acknowledgements in submission order.
 pub struct DurableRouter {
     shards: Arc<Vec<Arc<ShardCell>>>,
-    lanes: Vec<RouterLane>,
+    lanes: Vec<RouterLane<ShardJob, ShardReply>>,
     /// Shard index of each in-flight pipelined operation, submission order.
     pending: VecDeque<usize>,
     /// Results harvested early (by a blocking call) but not yet collected.
@@ -488,37 +356,15 @@ impl DurableRouter {
     /// Pushes one job if the per-shard in-flight cap allows; wakes the
     /// owner.  The cap keeps both rings within capacity by construction.
     fn push(&mut self, shard: usize, job: ShardJob) -> bool {
-        let lane = &mut self.lanes[shard];
-        if lane.in_flight >= LANE_CAPACITY {
-            return false;
-        }
-        lane.jobs
-            .try_push(job)
-            .expect("job lane full or disconnected below the in-flight cap");
-        lane.in_flight += 1;
-        self.shards[shard].state.wake();
-        true
+        self.lanes[shard].push(&self.shards[shard].state.inbox, job).is_ok()
     }
 
-    /// Spins (then yields) for the next reply on `shard`'s lane.  A Down
-    /// shard simply makes this wait until the supervisor heals it.
+    /// Blocks for the next reply on `shard`'s lane.  A Down shard simply
+    /// makes this wait until its owner has recovered it.
     fn pop_blocking(&mut self, shard: usize) -> Result<Option<u64>, Crashed> {
-        let lane = &mut self.lanes[shard];
-        let mut spins = 0u32;
-        loop {
-            if let Some(reply) = lane.replies.try_pop() {
-                lane.in_flight -= 1;
-                return match reply {
-                    ShardReply::Value(value) => Ok(value),
-                    ShardReply::Crashed => Err(Crashed),
-                };
-            }
-            spins += 1;
-            if spins < 128 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+        match self.lanes[shard].pop() {
+            ShardReply::Value(value) => Ok(value),
+            ShardReply::Crashed => Err(Crashed),
         }
     }
 }

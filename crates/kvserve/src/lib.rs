@@ -15,7 +15,7 @@
 //!   blanket-implemented for every `ConcurrentMap + KeySum` type).
 //! * **SPSC-fed routing sessions** ([`ShardRouter`]): a per-client session
 //!   holding one bounded single-producer/single-consumer lane pair
-//!   ([`queue`]) per shard.  Blocking calls round-trip one request; the
+//!   ([`inbox`]) per shard.  Blocking calls round-trip one request; the
 //!   pipelined [`submit`](ShardRouter::submit)/[`collect`](ShardRouter::collect)
 //!   pair keeps a window in flight per shard and sheds with [`Overloaded`]
 //!   (never blocks) when a lane fills.
@@ -80,6 +80,7 @@
 
 pub mod cache;
 pub mod codec;
+pub mod inbox;
 pub mod namespace;
 pub mod queue;
 pub mod request;
@@ -94,5 +95,7 @@ pub use codec::{
 pub use namespace::{Namespace, LOCAL_KEY_BITS, MAX_LOCAL_KEY};
 pub use queue::{Consumer, Producer, PushError};
 pub use request::{Request, Response};
-pub use service::{KvService, Overloaded, ShardRouter, ShardStartupError, ShardStore, LANE_CAPACITY};
-pub use stats::{Histogram, OpCounters, ServiceStats};
+pub use service::{
+    shard_index, KvService, Overloaded, ShardRouter, ShardStartupError, ShardStore, LANE_CAPACITY,
+};
+pub use stats::{OpCounters, ServiceStats};

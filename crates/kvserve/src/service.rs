@@ -13,7 +13,7 @@
 //!
 //! All request traffic flows through per-client [`ShardRouter`] sessions.
 //! A router is a thin enqueue/await layer: it owns one pair of bounded
-//! SPSC lanes ([`crate::queue`]) per shard, splits `MGet`/`MPut` into
+//! SPSC lanes ([`crate::inbox`]) per shard, splits `MGet`/`MPut` into
 //! shard-local sub-batches, pushes them to the owning workers (fanning out
 //! before collecting, so shards execute concurrently), and reassembles the
 //! completions in input order.  In front of the queues sits a per-router
@@ -32,18 +32,19 @@
 //!   flight.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use abtree::{ConcurrentMap, KeySum};
-use obs::{Registry, Sample, Stage, StageRecorder, StageTrace, Stamp};
+use obs::{Histogram, Registry, Sample, Stage, StageRecorder, StageTrace, Stamp};
 
 use crate::cache::ReadCache;
-use crate::queue::{self, Consumer, Producer};
+use crate::inbox::RouterLane;
 use crate::request::{Request, Response};
-use crate::stats::{Histogram, ServiceStats};
-use crate::worker::{run_shard_owner, Lane, ShardCell, ShardJob, ShardReply, ShardState};
+use crate::stats::ServiceStats;
+use crate::worker::{run_shard_owner, Job, Reply, ShardCell, ShardJob, ShardReply, ShardState};
+
+pub use crate::inbox::LANE_CAPACITY;
 
 /// What a shard must provide: per-thread sessions ([`ConcurrentMap`]) plus
 /// quiescent key-sum validation ([`KeySum`]).
@@ -54,11 +55,6 @@ use crate::worker::{run_shard_owner, Lane, ShardCell, ShardJob, ShardReply, Shar
 pub trait ShardStore: ConcurrentMap + KeySum {}
 
 impl<T: ConcurrentMap + KeySum + ?Sized> ShardStore for T {}
-
-/// Capacity of each SPSC lane, and therefore the per-shard in-flight cap
-/// of one router's pipelined submissions.  A 65th uncollected submission
-/// to one shard is refused with [`Overloaded`].
-pub const LANE_CAPACITY: usize = 64;
 
 /// Point requests are stage-traced one in `2^TRACE_SAMPLE_SHIFT`: dense
 /// enough to fill the per-stage latency histograms within seconds of real
@@ -117,9 +113,6 @@ pub struct KvService {
     /// The per-request stage trace the routers and shard owners record
     /// into (sampled; see [`TRACE_SAMPLE_SHIFT`]).
     trace: Arc<StageTrace>,
-    /// How long routers spin on an empty reply lane before yielding; ~0 on
-    /// a single-core host, where spinning only delays the worker.
-    reply_spin: u32,
 }
 
 impl KvService {
@@ -213,23 +206,18 @@ impl KvService {
             .enumerate()
             .map(|(index, cell)| {
                 let thread_cell = Arc::clone(cell);
-                let owner = std::thread::Builder::new()
+                std::thread::Builder::new()
                     .name(format!("kvserve-shard-{index}"))
                     .spawn(move || run_shard_owner(thread_cell))
-                    .expect("failed to spawn a shard owner thread");
-                cell.state.set_owner(owner.thread().clone());
-                owner
+                    .expect("failed to spawn a shard owner thread")
             })
             .collect();
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let reply_spin = if cores > 1 { 128 } else { 1 };
         let service = Self {
             shards,
             owners,
             stats,
             registry,
             trace,
-            reply_spin,
         };
         // Owners publish their startup outcome right after their (bounded)
         // session-registration attempt; wait for all of them so a capacity
@@ -270,45 +258,19 @@ impl KvService {
         &self.trace
     }
 
-    /// The shard serving `key`: high bits of a Fibonacci multiplicative
-    /// hash, range-reduced without division.
-    ///
-    /// Panics on the engine's reserved [`abtree::EMPTY_KEY`] sentinel: the
-    /// router sits on the wire boundary, and the codec accepts any `u64`, so
-    /// this is the always-on guard (the engine itself only debug-asserts)
-    /// that keeps a hostile or corrupt-but-well-formed frame from storing
-    /// the empty-slot marker into a shard.
+    /// The shard serving `key`; see [`shard_index`].
     #[inline]
     pub fn shard_of(&self, key: u64) -> usize {
-        assert!(
-            key != abtree::EMPTY_KEY,
-            "the reserved EMPTY_KEY sentinel cannot be stored or queried"
-        );
-        let hashed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((hashed as u128 * self.shards.len() as u128) >> 64) as usize
+        shard_index(key, self.shards.len())
     }
 
     /// Opens a per-client router session: one SPSC lane pair per shard,
     /// registered with the owning workers, plus a fresh hot-key cache.
     /// Call once per client thread, like [`ConcurrentMap::handle`].
     pub fn router(&self) -> ShardRouter<'_> {
-        let mut lanes = Vec::with_capacity(self.shards.len());
-        for cell in &self.shards {
-            let (jobs, worker_jobs) = queue::channel(LANE_CAPACITY);
-            let (worker_replies, replies) = queue::channel(LANE_CAPACITY);
-            cell.state.register_lane(Lane {
-                jobs: worker_jobs,
-                replies: worker_replies,
-            });
-            lanes.push(RouterLane {
-                jobs,
-                replies,
-                outstanding: 0,
-            });
-        }
         ShardRouter {
             service: self,
-            lanes,
+            lanes: self.shards.iter().map(|cell| cell.state.inbox.open()).collect(),
             cache: ReadCache::new(),
             groups: (0..self.shards.len()).map(|_| Group::default()).collect(),
             touched: Vec::new(),
@@ -350,7 +312,7 @@ impl KvService {
     /// router borrows the service).
     pub fn shutdown(&mut self) {
         for cell in &self.shards {
-            cell.state.begin_shutdown();
+            cell.state.inbox.begin_shutdown();
         }
         for owner in self.owners.drain(..) {
             // A panicked owner already surfaced as a router panic; the
@@ -368,6 +330,25 @@ impl KvService {
     pub(crate) fn shard_state(&self, shard: usize) -> &ShardState {
         &self.shards[shard].state
     }
+}
+
+/// The shard of `shards` that serves `key`: high bits of a Fibonacci
+/// multiplicative hash, range-reduced without division.  Every sharded
+/// service in the workspace places keys with it.
+///
+/// Panics on the engine's reserved [`abtree::EMPTY_KEY`] sentinel: the
+/// router sits on the wire boundary, and the codec accepts any `u64`, so
+/// this is the always-on guard (the engine itself only debug-asserts)
+/// that keeps a hostile or corrupt-but-well-formed frame from storing the
+/// empty-slot marker into a shard.
+#[inline]
+pub fn shard_index(key: u64, shards: usize) -> usize {
+    assert!(
+        key != abtree::EMPTY_KEY,
+        "the reserved EMPTY_KEY sentinel cannot be stored or queried"
+    );
+    let hashed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    ((hashed as u128 * shards as u128) >> 64) as usize
 }
 
 impl Drop for KvService {
@@ -393,15 +374,6 @@ struct Group {
     /// Original batch positions of this group's entries, for scattering
     /// results back into input order.
     positions: Vec<u32>,
-}
-
-/// The router's end of one shard's lane pair. `outstanding` counts
-/// submitted-but-uncollected requests, which bounds the occupancy of both
-/// rings (so neither side ever meets a full ring unexpectedly).
-struct RouterLane {
-    jobs: Producer<(Stamp, ShardJob)>,
-    replies: Consumer<(Stamp, ShardReply)>,
-    outstanding: usize,
 }
 
 /// The point-request kinds the pipelined interface carries.
@@ -437,7 +409,7 @@ enum Pending {
 /// per client thread.
 pub struct ShardRouter<'s> {
     service: &'s KvService,
-    lanes: Vec<RouterLane>,
+    lanes: Vec<RouterLane<Job, Reply>>,
     cache: ReadCache,
     groups: Vec<Group>,
     /// Shards with a non-empty group in the batch being executed (sparse
@@ -470,7 +442,7 @@ impl<'s> ShardRouter<'s> {
 
     /// Pushes `job` into `shard`'s lane and wakes its owner. The caller
     /// guarantees lane capacity (sync calls keep at most one request per
-    /// shard in flight; pipelined submission checks `outstanding` first).
+    /// shard in flight; pipelined submission checks the cap first).
     ///
     /// `stamp` is the request's trace stamp ([`Stamp::NONE`] for untraced
     /// requests, which makes every stage record below a no-op): the
@@ -479,40 +451,9 @@ impl<'s> ShardRouter<'s> {
     /// the owner can time the queue wait as `Dequeue`.
     fn enqueue(&mut self, shard: usize, stamp: Stamp, job: ShardJob) {
         let enqueued = self.recorder.record(Stage::Enqueue, stamp);
-        let lane = &mut self.lanes[shard];
-        if lane.jobs.try_push((enqueued, job)).is_err() {
+        let inbox = &self.service.shard_state(shard).inbox;
+        if self.lanes[shard].push(inbox, (enqueued, job)).is_err() {
             panic!("shard lane rejected a push despite the in-flight cap");
-        }
-        lane.outstanding += 1;
-        // StoreLoad fence: the push above must be visible before we sample
-        // the idle flag, or we could skip the unpark exactly as the owner
-        // parks (it re-scans after raising the flag, symmetrically fenced).
-        fence(Ordering::SeqCst);
-        self.service.shard_state(shard).wake();
-    }
-
-    /// Pops the next reply from `shard`'s lane, spinning briefly (tuned to
-    /// ~zero on single-core hosts) and then yielding.  The stamp is the
-    /// owner's post-apply time ([`Stamp::NONE`] for untraced requests).
-    fn await_reply(&mut self, shard: usize) -> (Stamp, ShardReply) {
-        let spin_limit = self.service.reply_spin;
-        let lane = &mut self.lanes[shard];
-        let mut spins = 0u32;
-        loop {
-            if let Some(reply) = lane.replies.try_pop() {
-                lane.outstanding -= 1;
-                return reply;
-            }
-            assert!(
-                !lane.replies.is_disconnected(),
-                "shard owner thread died with replies outstanding"
-            );
-            spins += 1;
-            if spins < spin_limit {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
         }
     }
 
@@ -596,7 +537,7 @@ impl<'s> ShardRouter<'s> {
         // this very key that the version counter cannot see yet, and a
         // cached answer would jump it: the session would fail to read its
         // own pipelined write.  Falling into the lane restores FIFO order.
-        if matches!(op, PointOp::Get) && self.lanes[shard].outstanding == 0 {
+        if matches!(op, PointOp::Get) && self.lanes[shard].in_flight() == 0 {
             let version = service.shard_state(shard).current_version();
             if let Some(cached) = self.cache.lookup(key, version) {
                 stats.record_cache_hit();
@@ -613,7 +554,7 @@ impl<'s> ShardRouter<'s> {
                 return Ok(());
             }
         }
-        if self.lanes[shard].outstanding >= LANE_CAPACITY {
+        if self.lanes[shard].in_flight() >= LANE_CAPACITY {
             stats.record_shed();
             return Err(Overloaded);
         }
@@ -656,7 +597,7 @@ impl<'s> ShardRouter<'s> {
                 started,
             } => {
                 let (applied, ShardReply::Value { value: result, version }) =
-                    self.await_reply(shard)
+                    self.lanes[shard].pop()
                 else {
                     unreachable!("point jobs produce point replies")
                 };
@@ -724,7 +665,7 @@ impl<'s> ShardRouter<'s> {
             self.enqueue(shard, Stamp::NONE, ShardJob::Range { lo, hi });
         }
         for shard in 0..self.lanes.len() {
-            let (_, ShardReply::Entries { entries }) = self.await_reply(shard) else {
+            let (_, ShardReply::Entries { entries }) = self.lanes[shard].pop() else {
                 unreachable!("range jobs produce entry replies")
             };
             out.extend_from_slice(&entries);
@@ -776,7 +717,7 @@ impl<'s> ShardRouter<'s> {
         }
         for i in 0..self.touched.len() {
             let shard = self.touched[i];
-            let (_, ShardReply::Values { values, version }) = self.await_reply(shard) else {
+            let (_, ShardReply::Values { values, version }) = self.lanes[shard].pop() else {
                 unreachable!("batch jobs produce batch replies")
             };
             let counters = stats.shard(shard);
@@ -828,7 +769,7 @@ impl<'s> ShardRouter<'s> {
         }
         for i in 0..self.touched.len() {
             let shard = self.touched[i];
-            let (_, ShardReply::Values { values, version }) = self.await_reply(shard) else {
+            let (_, ShardReply::Values { values, version }) = self.lanes[shard].pop() else {
                 unreachable!("batch jobs produce batch replies")
             };
             let counters = stats.shard(shard);
@@ -1183,8 +1124,8 @@ mod tests {
 
     #[test]
     fn full_lane_sheds_with_overloaded() {
-        // One shard makes the target lane deterministic. `outstanding` is
-        // only released by collect(), so the cap is reached regardless of
+        // One shard makes the target lane deterministic. The in-flight
+        // count is only released by collect(), so the cap is reached regardless of
         // how fast the owner drains.
         let service = KvService::new(1, 1, |_| {
             let tree: ElimABTree = ElimABTree::new();

@@ -5,18 +5,16 @@
 //! of every router opening a session on every shard, each shard has exactly
 //! one owner thread that opens one handle for the shard's whole lifetime
 //! and executes *all* of its traffic.  Routers feed it through the SPSC
-//! lanes in [`crate::queue`] — one request/reply pair per router × shard —
+//! lanes of [`crate::inbox`] — one request/reply pair per router × shard —
 //! so the shard's EBR epoch, its tree's hot nodes and its stats stay on one
 //! core, and a drain of a lane executes a *run* of requests against the
 //! local handle with no per-request synchronization at all.
 //!
-//! ## Lane registry
+//! ## Lanes, idle protocol and shutdown
 //!
-//! Routers come and go at any time, so each shard keeps a mutex-protected
-//! mailbox of newly opened lanes plus a generation counter
-//! ([`ShardState::lane_generation`]); the worker adopts pending lanes when
-//! the counter moves and prunes lanes whose router half is gone.  The mutex
-//! is touched only on router open — never on the request path.
+//! The lane mailbox, the spin-then-park wait and the shutdown flag are the
+//! shared [`crate::inbox`] hand-off; this module adds only the drain-a-run
+//! loop and the version counter.
 //!
 //! ## The version counter and the hot-key cache
 //!
@@ -33,25 +31,15 @@
 //! present, a delete that found nothing) leave both the state and the
 //! counter untouched, so a Zipf-hot key that absorbs failed inserts does
 //! not shed its cache entries.
-//!
-//! ## Idle protocol and shutdown
-//!
-//! An idle worker spins briefly, then publishes [`ShardState::idle`] and
-//! re-scans once before parking; producers unpark it only when the flag is
-//! up, so a busy shard never pays a syscall.  Dropping the
-//! [`crate::KvService`] raises [`ShardState::shutdown`], unparks everyone
-//! and joins the owners.
 
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::Thread;
+use std::sync::atomic::{AtomicU8, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use abtree::MapHandle;
-use obs::{Stage, StageTrace, Stamp};
+use obs::{Histogram, Stage, StageTrace, Stamp};
 
-use crate::queue::{Consumer, Producer, PushError};
+use crate::inbox::Inbox;
 use crate::service::ShardStore;
-use crate::stats::Histogram;
 
 /// One request handed to a shard owner. Batch jobs carry their sub-batch
 /// by value; the reply returns results the same way.
@@ -83,16 +71,13 @@ pub(crate) enum ShardReply {
     Entries { entries: Vec<(u64, u64)> },
 }
 
-/// The worker end of one router's lane pair.  Every job rides with a
+/// A job and a reply as they ride the lanes: every job carries a
 /// stage-trace [`Stamp`] — the router's post-enqueue time for a sampled
 /// request, [`Stamp::NONE`] otherwise — and every reply carries the
-/// post-apply stamp back so the router can time the reply-lane wait.
-/// With telemetry compiled out `Stamp` is a ZST and the tuples cost
-/// nothing.
-pub(crate) struct Lane {
-    pub(crate) jobs: Consumer<(Stamp, ShardJob)>,
-    pub(crate) replies: Producer<(Stamp, ShardReply)>,
-}
+/// post-apply stamp back so the router can time the reply-lane wait.  With
+/// telemetry compiled out `Stamp` is a ZST and the tuples cost nothing.
+pub(crate) type Job = (Stamp, ShardJob);
+pub(crate) type Reply = (Stamp, ShardReply);
 
 /// Startup not yet decided: the owner thread has not attempted to open
 /// its store session.
@@ -106,21 +91,11 @@ pub(crate) const READY_FAILED: u8 = 2;
 pub(crate) struct ShardState {
     /// Mutation counter; see the module docs.
     pub(crate) version: AtomicU64,
-    /// Mailbox of lanes opened by routers but not yet adopted by the worker.
-    pending_lanes: Mutex<Vec<Lane>>,
-    /// Bumped on every mailbox deposit; the worker re-checks the mailbox
-    /// only when it moves.
-    lane_generation: AtomicU64,
-    /// Raised by the worker just before parking; producers unpark only when
-    /// it is up.
-    idle: AtomicBool,
-    /// Raised by [`crate::KvService`] teardown.
-    shutdown: AtomicBool,
+    /// The router ↔ owner hand-off.
+    pub(crate) inbox: Inbox<Job, Reply>,
     /// Owner startup outcome: [`READY_STARTING`] until the owner thread has
     /// opened (or failed to open) its store session.
     ready: AtomicU8,
-    /// The owner thread, for unparking (set once at spawn).
-    owner: Mutex<Option<Thread>>,
     /// Lengths of the runs the worker drains per lane visit — the
     /// amortization the ownership model exists for.  Aggregated across
     /// shards with [`Histogram::merge`].
@@ -131,12 +106,8 @@ impl ShardState {
     pub(crate) fn new() -> Self {
         Self {
             version: AtomicU64::new(0),
-            pending_lanes: Mutex::new(Vec::new()),
-            lane_generation: AtomicU64::new(0),
-            idle: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
+            inbox: Inbox::default(),
             ready: AtomicU8::new(READY_STARTING),
-            owner: Mutex::new(None),
             run_length: Histogram::new(),
         }
     }
@@ -159,35 +130,6 @@ impl ShardState {
         }
     }
 
-    /// Deposits a freshly opened lane for the worker to adopt and wakes it.
-    pub(crate) fn register_lane(&self, lane: Lane) {
-        self.pending_lanes.lock().expect("lane mailbox poisoned").push(lane);
-        self.lane_generation.fetch_add(1, Ordering::Release);
-        self.wake();
-    }
-
-    /// Records the owner thread handle; called once, right after spawn.
-    pub(crate) fn set_owner(&self, thread: Thread) {
-        *self.owner.lock().expect("owner slot poisoned") = Some(thread);
-    }
-
-    /// Unparks the owner if (and only if) it advertised itself idle.
-    pub(crate) fn wake(&self) {
-        if self.idle.load(Ordering::SeqCst) {
-            if let Some(owner) = self.owner.lock().expect("owner slot poisoned").as_ref() {
-                owner.unpark();
-            }
-        }
-    }
-
-    /// Raises the shutdown flag and wakes the owner unconditionally.
-    pub(crate) fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(owner) = self.owner.lock().expect("owner slot poisoned").as_ref() {
-            owner.unpark();
-        }
-    }
-
     /// The shard's current mutation count (the validity stamp cached reads
     /// compare against).
     #[inline]
@@ -207,14 +149,11 @@ pub(crate) struct ShardCell {
     pub(crate) trace: Arc<StageTrace>,
 }
 
-/// How many consecutive empty scans the worker tolerates before it
-/// advertises idleness and parks.
-const IDLE_SPINS: u32 = 64;
-
 /// The shard-owner thread body: adopt lanes, drain them in runs, park when
-/// idle, exit on shutdown once every adopted lane is dead or drained.
+/// idle, exit on shutdown once every adopted lane is drained.
 pub(crate) fn run_shard_owner(cell: Arc<ShardCell>) {
     let state = &cell.state;
+    let mut owner = state.inbox.owner();
     // The single long-lived session this whole design exists to create:
     // opened on the owner thread, kept until shutdown.  Registration can
     // fail (the store's SMR collector has a fixed slot capacity); report
@@ -232,17 +171,10 @@ pub(crate) fn run_shard_owner(cell: Arc<ShardCell>) {
     // Unsampled recorder: whether a request is traced was decided by the
     // router at submit time and rides in on the job's stamp.
     let recorder = cell.trace.recorder();
-    let mut lanes: Vec<Lane> = Vec::new();
-    let mut seen_generation = 0u64;
-    let mut quiet_scans = 0u32;
     loop {
-        let generation = state.lane_generation.load(Ordering::Acquire);
-        if generation != seen_generation {
-            seen_generation = generation;
-            lanes.append(&mut state.pending_lanes.lock().expect("lane mailbox poisoned"));
-        }
-        let mut served = 0usize;
-        lanes.retain_mut(|lane| {
+        owner.adopt();
+        let mut served = 0u64;
+        for lane in &mut owner.lanes {
             let mut run = 0u64;
             while let Some((stamp, job)) = lane.jobs.try_pop() {
                 // Queue wait (post-enqueue to pop), then execution; both
@@ -251,52 +183,21 @@ pub(crate) fn run_shard_owner(cell: Arc<ShardCell>) {
                 let dequeued = recorder.record(Stage::Dequeue, stamp);
                 let reply = execute(&mut *handle, state, job);
                 let applied = recorder.record(Stage::Apply, dequeued);
-                // The router bounds its in-flight requests by the lane
-                // capacity, so a live reply ring always has room; a
-                // disconnected one means the router is gone and the reply
-                // is undeliverable — drop it.
-                match lane.replies.try_push((applied, reply)) {
-                    Ok(()) | Err(PushError::Disconnected(_)) => {}
-                    Err(PushError::Full(_)) => {
-                        unreachable!("reply lane overflowed its in-flight cap")
-                    }
-                }
+                lane.reply((applied, reply));
                 run += 1;
             }
             if run > 0 {
                 state.run_length.record(run);
-                served += run as usize;
+                served += run;
             }
-            // A lane is dead once its router dropped the producer half and
-            // every queued job has been drained.
-            !(lane.jobs.is_disconnected() && lane.jobs.is_empty())
-        });
-        if served > 0 {
-            quiet_scans = 0;
-            continue;
         }
-        if state.shutdown.load(Ordering::SeqCst) {
+        if served > 0 {
+            owner.busy();
+        } else if !owner.wait(|| false) {
             // Shutdown requires exclusive service access, so no router (and
             // no new lane) can exist; drained means done.
             break;
         }
-        quiet_scans += 1;
-        if quiet_scans < IDLE_SPINS {
-            std::hint::spin_loop();
-            continue;
-        }
-        // Publish idleness, then re-scan once: a producer that pushed
-        // before seeing the flag is caught by the re-scan, one that pushes
-        // after seeing it will unpark us.
-        state.idle.store(true, Ordering::SeqCst);
-        let work_arrived = lanes.iter().any(|lane| !lane.jobs.is_empty())
-            || state.lane_generation.load(Ordering::SeqCst) != seen_generation
-            || state.shutdown.load(Ordering::SeqCst);
-        if !work_arrived {
-            std::thread::park();
-        }
-        state.idle.store(false, Ordering::SeqCst);
-        quiet_scans = 0;
     }
 }
 

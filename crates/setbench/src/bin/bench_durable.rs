@@ -6,7 +6,7 @@
 //! expensive fence, so the fence amortization the knob buys is visible as
 //! throughput.  Every cell also kills each shard exactly once mid-load
 //! (torn partial insert and dirty link-and-persist mark included on
-//! alternating shards) and lets the supervisor heal it, reporting:
+//! alternating shards) and lets its owner heal it in place, reporting:
 //!
 //! * acked throughput (operations whose durability fence completed,
 //!   per microsecond, crash + recovery downtime included);
@@ -15,7 +15,7 @@
 //!   that vanished *without ever being acknowledged* (the durability
 //!   contract: this count stays invisible to clients, who only ever saw
 //!   `Crashed` for them);
-//! * mean recovery time per crash, from the supervisor's reports.
+//! * mean recovery time per crash, from the crash reports.
 //!
 //! Each cell prints a table row and a JSON row on stderr (the repository
 //! keeps a recorded run checked in as `BENCH_durable.json`).

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use kvserve::stats::Histogram;
+use obs::Histogram;
 use kvserve::{KvService, Request, Response, ShardStore};
 use netserve::{Client, Server, ServerConfig};
 use rand::prelude::*;
